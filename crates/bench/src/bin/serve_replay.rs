@@ -8,7 +8,6 @@
 //! serve_replay --chaos [--rounds N]
 //! serve_replay --shootout
 //! serve_replay --fleet [--rounds N]
-//! serve_replay --giant [--giant-deadline-ms N]
 //! ```
 //!
 //! Without `--addr` a daemon is spun up in-process on a loopback port.
@@ -53,19 +52,6 @@
 //! port; the drill fails unless the probe puts the peer back in the
 //! serving path.
 //!
-//! With `--giant` the benchmark synthesizes a handful of giant kernels
-//! (hundreds of blocks each, whole-body live ranges) and pushes them
-//! through two daemons: one allocating sequentially, one with
-//! `graph_threads: 8` intra-function parallelism. Two daemons because the
-//! content-addressed cache deliberately ignores threading knobs — a single
-//! daemon would answer the second lane from the first lane's cache and
-//! nothing parallel would run. The run fails unless the parallel lane's
-//! `functions` payloads are byte-identical to the sequential lane's, the
-//! daemon's `par` counters show the parallel machinery actually engaged,
-//! and (with a nonzero `--giant-deadline-ms`, default 120000; 0 disables
-//! the bar for single-core CI) the parallel lane finishes inside the
-//! deadline.
-//!
 //! With `--shootout` the benchmark races the four allocator strategies
 //! (plus conservative-coalescing Briggs as a fifth lane) over the whole
 //! corpus through the wire protocol: each lane sends its own
@@ -95,8 +81,6 @@ struct Args {
     chaos: bool,
     shootout: bool,
     fleet: bool,
-    giant: bool,
-    giant_deadline_ms: u64,
     store: Option<PathBuf>,
     store_max_bytes: u64,
 }
@@ -110,8 +94,6 @@ fn parse_args() -> Result<Args, String> {
         chaos: false,
         shootout: false,
         fleet: false,
-        giant: false,
-        giant_deadline_ms: 120_000,
         store: None,
         store_max_bytes: 64 << 20,
     };
@@ -128,13 +110,6 @@ fn parse_args() -> Result<Args, String> {
             "--chaos" => args.chaos = true,
             "--shootout" => args.shootout = true,
             "--fleet" => args.fleet = true,
-            "--giant" => args.giant = true,
-            "--giant-deadline-ms" => {
-                let v = it.next().ok_or("--giant-deadline-ms needs a value")?;
-                args.giant_deadline_ms = v
-                    .parse()
-                    .map_err(|_| format!("bad --giant-deadline-ms `{v}`"))?;
-            }
             "--store" => args.store = Some(it.next().ok_or("--store needs a value")?.into()),
             "--store-max-bytes" => {
                 let v = it.next().ok_or("--store-max-bytes needs a value")?;
@@ -149,8 +124,7 @@ fn parse_args() -> Result<Args, String> {
                      serve_replay --stream [--rounds N]\n       \
                      serve_replay --chaos [--rounds N]\n       \
                      serve_replay --shootout\n       \
-                     serve_replay --fleet [--rounds N]\n       \
-                     serve_replay --giant [--giant-deadline-ms N]"
+                     serve_replay --fleet [--rounds N]"
                 );
                 std::process::exit(0);
             }
@@ -179,16 +153,6 @@ fn parse_args() -> Result<Args, String> {
     {
         return Err("--fleet orchestrates its own in-process fleet; run it alone".into());
     }
-    if args.giant
-        && (args.addr.is_some()
-            || args.restart
-            || args.stream
-            || args.chaos
-            || args.shootout
-            || args.fleet)
-    {
-        return Err("--giant races its own pair of in-process daemons; run it alone".into());
-    }
     Ok(args)
 }
 
@@ -207,9 +171,6 @@ fn real_main() -> Result<(), String> {
 
     if args.shootout {
         return run_shootout();
-    }
-    if args.giant {
-        return run_giant(&args);
     }
 
     // Compile the whole suite up front; the daemon only sees IR text.
@@ -1330,119 +1291,6 @@ fn run_fleet(corpus: &[(String, String)], args: &Args) -> Result<(), String> {
     if p99 > TAIL_BAR_US {
         return Err(format!(
             "cross-daemon warm p99 {p99}us is above the {TAIL_BAR_US}us acceptance bar"
-        ));
-    }
-    Ok(())
-}
-
-/// The `--giant` lane: synthesized giant kernels through the daemon,
-/// sequential vs. `graph_threads: 8`, byte-identity enforced and the
-/// parallel lane held to a wall-clock deadline (when one is set).
-///
-/// Two daemons on purpose: the content-addressed cache keys on the IR and
-/// the *result-relevant* config only — threading knobs are excluded so a
-/// warm cache answers any thread count. Sending both lanes to one daemon
-/// would therefore serve the parallel lane from the sequential lane's
-/// cache, proving nothing.
-fn run_giant(args: &Args) -> Result<(), String> {
-    use optimist::workloads::{giant_kernel, GiantConfig};
-
-    let cfg = GiantConfig::default();
-    let kernels: Vec<(String, String)> = (0..3u64)
-        .map(|seed| {
-            let name = format!("GIANT{seed}");
-            let src = giant_kernel(&name, seed, &cfg);
-            let module = optimist::frontend::compile(&src)
-                .map_err(|e| format!("{name}: synthesized kernel does not compile: {e}"))?;
-            Ok((name, module.to_string()))
-        })
-        .collect::<Result<_, String>>()?;
-
-    let (seq_addr, _seq_server, seq_handle) = spawn_plain_daemon()?;
-    let (par_addr, _par_server, par_handle) = spawn_plain_daemon()?;
-    let mut seq_client = Client::connect(seq_addr.as_str()).map_err(|e| e.to_string())?;
-    let mut par_client = Client::connect(par_addr.as_str()).map_err(|e| e.to_string())?;
-
-    let seq_config = Json::obj([("graph_threads", Json::from(1u64))]);
-    // The in-process daemon runs a 16-worker pool; without a roomy budget
-    // the oversubscription guard would clamp graph_threads right back to 1
-    // on small machines — the guard is doing its job, but this lane exists
-    // to exercise the parallel path, so the budget is raised explicitly.
-    let par_config = Json::obj([
-        ("graph_threads", Json::from(8u64)),
-        ("thread_budget", Json::from(128u64)),
-    ]);
-
-    println!(
-        "giant lane: {} synthesized kernels, sequential vs graph_threads=8",
-        kernels.len()
-    );
-    println!("{:<10} {:>14} {:>14}", "kernel", "seq_us", "par_us");
-
-    let alloc_one = |client: &mut Client, name: &str, ir: &str, config: &Json| {
-        let started = Instant::now();
-        let resp = client
-            .alloc(ir, config.clone())
-            .map_err(|e| format!("{name}: {e}"))?;
-        if resp.get("ok").and_then(Json::as_bool) != Some(true) {
-            return Err(format!("{name}: server refused: {resp}"));
-        }
-        let funcs = resp
-            .get("functions")
-            .ok_or_else(|| format!("{name}: response without functions"))?
-            .to_string();
-        Ok::<_, String>((funcs, started.elapsed().as_micros()))
-    };
-
-    let mut par_total_us = 0u128;
-    for (name, ir) in &kernels {
-        let (seq_funcs, seq_us) = alloc_one(&mut seq_client, name, ir, &seq_config)?;
-        let (par_funcs, par_us) = alloc_one(&mut par_client, name, ir, &par_config)?;
-        println!("{name:<10} {seq_us:>14} {par_us:>14}");
-        if par_funcs != seq_funcs {
-            return Err(format!(
-                "{name}: graph_threads=8 answered differently from the sequential lane"
-            ));
-        }
-        par_total_us += par_us;
-    }
-
-    // The parallel lane must actually have engaged: a silently clamped or
-    // silently sequential run would make the byte-identity check vacuous.
-    let stats = par_client.stats().map_err(|e| e.to_string())?;
-    let par_counter = |key: &str| {
-        stats
-            .get("par")
-            .and_then(|p| p.get(key))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-    };
-    let parallel_builds = par_counter("parallel_builds");
-    println!(
-        "par counters: builds {parallel_builds}  shards {}  selects {}  rounds {}  conflicts {}",
-        par_counter("shards_built"),
-        par_counter("parallel_selects"),
-        par_counter("speculation_rounds"),
-        par_counter("conflict_nodes"),
-    );
-    println!("{stats}");
-
-    seq_client.shutdown().map_err(|e| e.to_string())?;
-    par_client.shutdown().map_err(|e| e.to_string())?;
-    seq_handle
-        .join()
-        .map_err(|_| "sequential daemon panicked".to_string())?;
-    par_handle
-        .join()
-        .map_err(|_| "parallel daemon panicked".to_string())?;
-
-    if parallel_builds == 0 {
-        return Err("the parallel lane never built a graph in parallel".to_string());
-    }
-    if args.giant_deadline_ms > 0 && par_total_us > u128::from(args.giant_deadline_ms) * 1_000 {
-        return Err(format!(
-            "parallel lane took {par_total_us}us, over the {}ms deadline",
-            args.giant_deadline_ms
         ));
     }
     Ok(())

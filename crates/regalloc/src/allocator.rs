@@ -23,12 +23,12 @@
 //! *repaired* around them ([`update_graph_after_spill`]) instead of rebuilt.
 //! Debug builds cross-check every repaired graph against a full rebuild.
 
-use crate::build::{build_graph, build_graph_par, update_graph_after_spill};
+use crate::build::{build_graph, update_graph_after_spill};
 use crate::coalesce::{coalesce, CoalesceOpts};
 use crate::cost::spill_costs;
 use crate::irc::{apply_coalesces, collect_moves, irc};
-use crate::select::{select, select_with_threads};
-use crate::simplify::{simplify_with_metric_threads, Heuristic};
+use crate::select::select;
+use crate::simplify::{simplify_with_metric, Heuristic};
 use crate::spill::{insert_spill_code, SpillOpts, SpillOutcome};
 use crate::InterferenceGraph;
 use optimist_analysis::{renumber, Cfg, Dominators, Liveness, LoopInfo};
@@ -139,20 +139,6 @@ pub struct AllocatorConfig {
     /// sequential behavior exactly. Single-function [`allocate`] calls
     /// ignore this field.
     pub threads: NonZeroUsize,
-    /// Intra-function threads for the build and select phases of the
-    /// classic strategies (sharded graph construction, speculative
-    /// parallel coloring — see the [`par`](crate::par_stats) machinery).
-    /// The allocation result is bit-identical for every value; only wall
-    /// clock changes. Defaults to 1 (fully sequential). The value actually
-    /// used is clamped by [`AllocatorConfig::thread_budget`] — see
-    /// [`AllocatorConfig::effective_graph_threads`].
-    pub graph_threads: NonZeroUsize,
-    /// Global thread budget shared by module-level workers and
-    /// intra-function threads: at most `thread_budget / workers` graph
-    /// threads run per worker, so `--threads 8 --graph-threads 8` on an
-    /// 8-budget machine clamps to 8×1, not 64 runnable threads. Defaults
-    /// to the machine's available parallelism.
-    pub thread_budget: NonZeroUsize,
     /// Repair the interference graph incrementally after spill insertion
     /// instead of rebuilding it (see the module docs). Off by default: the
     /// full rebuild is the paper's measured configuration.
@@ -174,28 +160,8 @@ impl AllocatorConfig {
             rematerialize: false,
             max_passes: 64,
             threads: default_threads(),
-            graph_threads: NonZeroUsize::MIN,
-            thread_budget: default_threads(),
             incremental: false,
         }
-    }
-
-    /// The paper's baseline: Chaitin's allocator on `target`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use AllocatorConfig::new(target, Strategy::Chaitin)"
-    )]
-    pub fn chaitin(target: Target) -> Self {
-        Self::new(target, Strategy::Chaitin)
-    }
-
-    /// The paper's contribution: the optimistic allocator on `target`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use AllocatorConfig::new(target, Strategy::Briggs)"
-    )]
-    pub fn briggs(target: Target) -> Self {
-        Self::new(target, Strategy::Briggs)
     }
 
     /// Set the allocation strategy, also resetting the
@@ -204,20 +170,6 @@ impl AllocatorConfig {
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
         self.heuristic = strategy.heuristic();
-        self
-    }
-
-    /// Set the spill heuristic.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use AllocatorConfig::with_strategy, or set the `heuristic` field for ablation"
-    )]
-    pub fn with_heuristic(mut self, heuristic: Heuristic) -> Self {
-        self.heuristic = heuristic;
-        self.strategy = match heuristic {
-            Heuristic::ChaitinPessimistic => Strategy::Chaitin,
-            Heuristic::BriggsOptimistic => Strategy::Briggs,
-        };
         self
     }
 
@@ -257,52 +209,14 @@ impl AllocatorConfig {
         self
     }
 
-    /// Set the intra-function thread count for the build and select
-    /// phases (subject to the [`thread_budget`](AllocatorConfig::thread_budget)
-    /// clamp).
-    pub fn with_graph_threads(mut self, threads: NonZeroUsize) -> Self {
-        self.graph_threads = threads;
-        self
-    }
-
-    /// Set the global thread budget shared by module workers and
-    /// intra-function threads.
-    pub fn with_thread_budget(mut self, budget: NonZeroUsize) -> Self {
-        self.thread_budget = budget;
-        self
-    }
-
-    /// The intra-function thread count the allocator will actually use
-    /// when [`threads`](AllocatorConfig::threads) module workers run
-    /// concurrently: [`graph_threads`](AllocatorConfig::graph_threads)
-    /// clamped so that `workers × graph_threads` never exceeds
-    /// [`thread_budget`](AllocatorConfig::thread_budget) (but always at
-    /// least 1). The clamp changes scheduling only, never results.
-    pub fn effective_graph_threads(&self) -> usize {
-        self.effective_graph_threads_for(self.threads.get())
-    }
-
-    /// [`effective_graph_threads`](AllocatorConfig::effective_graph_threads)
-    /// for an explicit module-worker count — the
-    /// [`Pipeline`](crate::Pipeline) passes the *actual* pool size here,
-    /// which may differ from the config's `threads` field.
-    pub fn effective_graph_threads_for(&self, workers: usize) -> usize {
-        let per_worker = (self.thread_budget.get() / workers.max(1)).max(1);
-        self.graph_threads.get().min(per_worker)
-    }
-
     /// A stable 64-bit fingerprint of every knob that can change the
     /// *result* of an allocation: target register files, heuristic,
     /// coalescing mode, spill metric, rematerialization, and incremental
     /// repair (it changes [`AllocStats`], so it is result-relevant).
     ///
-    /// The threading knobs are deliberately excluded:
-    /// [`AllocatorConfig::threads`], [`AllocatorConfig::graph_threads`]
-    /// and [`AllocatorConfig::thread_budget`] only change scheduling,
-    /// never output (the pipeline-determinism and par-equivalence
-    /// proptests pin that down — intra-function speculation is repaired
-    /// to the sequential fixpoint before any result escapes).
-    /// [`AllocatorConfig::max_passes`] caps how
+    /// Two knobs are deliberately excluded. [`AllocatorConfig::threads`]
+    /// only changes scheduling, never output (the pipeline determinism
+    /// proptests pin that down). [`AllocatorConfig::max_passes`] caps how
     /// long the Build–Simplify–Color cycle may iterate but never changes a
     /// *converged* result: any bound ≥ the passes actually taken yields the
     /// identical allocation, and any smaller bound yields
@@ -566,10 +480,6 @@ pub fn allocate_with_deadline(
         // construct → spill → color → destruct pipeline.
         return crate::ssa::allocate_ssa(func, config, deadline);
     }
-    // Intra-function parallelism, clamped by the global thread budget
-    // against the module-worker count. Every path below is bit-identical
-    // for every value of this; it is pure scheduling.
-    let graph_threads = config.effective_graph_threads();
     let mut f = func.clone();
     let mut passes: Vec<PassRecord> = Vec::new();
     let mut total_spilled = 0usize;
@@ -631,7 +541,7 @@ pub fn allocate_with_deadline(
                 let live = Liveness::new(&f, &cfg);
                 let dom = Dominators::new(&f, &cfg);
                 let loops = LoopInfo::new(&f, &cfg, &dom);
-                let graph = build_graph_par(&f, &cfg, &live, graph_threads);
+                let graph = build_graph(&f, &cfg, &live);
                 (cfg, loops, graph, merged, false)
             }
         };
@@ -652,13 +562,12 @@ pub fn allocate_with_deadline(
             let out = irc(&graph, &moves, &costs, &config.target, config.spill_metric);
             (None, Some(out))
         } else {
-            let out = simplify_with_metric_threads(
+            let out = simplify_with_metric(
                 &graph,
                 &costs,
                 &config.target,
                 config.heuristic,
                 config.spill_metric,
-                graph_threads,
             );
             (Some(out), None)
         };
@@ -691,12 +600,7 @@ pub fn allocate_with_deadline(
                 }
                 Some(c)
             }
-            (Some(out), None) => Some(select_with_threads(
-                &graph,
-                &out.stack,
-                &config.target,
-                graph_threads,
-            )),
+            (Some(out), None) => Some(select(&graph, &out.stack, &config.target)),
             (None, None) => unreachable!("one of the two simplify paths ran"),
         };
         let color_time = if skip_color {
@@ -1206,8 +1110,6 @@ mod tests {
             .with_rematerialize(true)
             .with_max_passes(7)
             .with_threads(NonZeroUsize::new(3).unwrap())
-            .with_graph_threads(NonZeroUsize::new(2).unwrap())
-            .with_thread_budget(NonZeroUsize::new(6).unwrap())
             .with_incremental(true);
         assert_eq!(cfg.heuristic, Heuristic::BriggsOptimistic);
         assert_eq!(cfg.coalesce, crate::coalesce::CoalesceMode::Off);
@@ -1215,77 +1117,11 @@ mod tests {
         assert!(cfg.rematerialize);
         assert_eq!(cfg.max_passes, 7);
         assert_eq!(cfg.threads.get(), 3);
-        assert_eq!(cfg.graph_threads.get(), 2);
-        assert_eq!(cfg.thread_budget.get(), 6);
         assert!(cfg.incremental);
         // Defaults.
         let d = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs);
         assert!(!d.incremental);
         assert_eq!(d.threads, default_threads());
-        assert_eq!(d.graph_threads.get(), 1, "sequential by default");
-        assert_eq!(d.thread_budget, default_threads());
-    }
-
-    #[test]
-    fn thread_budget_clamps_oversubscription() {
-        let nz = |n: usize| NonZeroUsize::new(n).unwrap();
-        let cfg = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs)
-            .with_threads(nz(8))
-            .with_graph_threads(nz(8))
-            .with_thread_budget(nz(8));
-        // 8 workers × 8 graph threads would be 64 runnable threads on an
-        // 8-budget machine; the guard clamps to 1 per worker.
-        assert_eq!(cfg.effective_graph_threads(), 1);
-        // A budget of 32 leaves room for 4 per worker.
-        assert_eq!(
-            cfg.clone()
-                .with_thread_budget(nz(32))
-                .effective_graph_threads(),
-            4
-        );
-        // A lone worker may use the whole request.
-        assert_eq!(cfg.effective_graph_threads_for(1), 8);
-        // graph_threads caps from below the budget too.
-        assert_eq!(
-            cfg.clone()
-                .with_graph_threads(nz(2))
-                .effective_graph_threads_for(1),
-            2
-        );
-        // Degenerate worker counts never panic and never return 0: zero
-        // workers is treated as one (full budget), a thousand get 1 each.
-        assert_eq!(cfg.effective_graph_threads_for(0), 8);
-        assert_eq!(cfg.effective_graph_threads_for(1000), 1);
-    }
-
-    #[test]
-    fn graph_threads_do_not_change_the_allocation() {
-        // The differential proptests at the workspace root cover this at
-        // scale; this is the in-crate smoke over every classic strategy.
-        let f = pressure_function(24);
-        for strategy in [Strategy::Chaitin, Strategy::Briggs, Strategy::Irc] {
-            let base = AllocatorConfig::new(Target::with_int_regs(8), strategy);
-            let seq = allocate(&f, &base).unwrap();
-            for threads in [2usize, 8] {
-                let cfg = base
-                    .clone()
-                    .with_threads(NonZeroUsize::MIN)
-                    .with_graph_threads(NonZeroUsize::new(threads).unwrap())
-                    .with_thread_budget(NonZeroUsize::new(threads).unwrap());
-                let par = allocate(&f, &cfg).unwrap();
-                assert_eq!(par.assignment, seq.assignment, "{strategy:?}/{threads}");
-                assert_eq!(
-                    par.stats.registers_spilled, seq.stats.registers_spilled,
-                    "{strategy:?}/{threads}"
-                );
-                assert_eq!(par.stats.passes, seq.stats.passes, "{strategy:?}/{threads}");
-                assert_eq!(
-                    par.func.to_string(),
-                    seq.func.to_string(),
-                    "{strategy:?}/{threads}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1422,16 +1258,6 @@ mod tests {
                 .with_threads(NonZeroUsize::new(7).unwrap())
                 .fingerprint()
         );
-        // Same for intra-function threads and the budget that clamps them:
-        // speculation is repaired to the sequential fixpoint, so neither
-        // knob may split the cache.
-        assert_eq!(
-            base.fingerprint(),
-            base.clone()
-                .with_graph_threads(NonZeroUsize::new(8).unwrap())
-                .with_thread_budget(NonZeroUsize::new(64).unwrap())
-                .fingerprint()
-        );
         // The pass bound never changes a converged result, so it never
         // changes the print either — a cache warmed under one bound stays
         // addressable under another (bound sensitivity is the caller's job).
@@ -1485,20 +1311,6 @@ mod tests {
         let irc_ = AllocatorConfig::new(Target::rt_pc(), Strategy::Irc);
         assert_ne!(irc_.fingerprint(), chaitin.fingerprint());
         assert_ne!(irc_.fingerprint(), briggs.fingerprint());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_strategy_constructors() {
-        let c = AllocatorConfig::chaitin(Target::rt_pc());
-        assert_eq!(c.strategy, Strategy::Chaitin);
-        let b = AllocatorConfig::briggs(Target::rt_pc());
-        assert_eq!(b.strategy, Strategy::Briggs);
-        // with_heuristic keeps strategy and heuristic in sync, so the shim
-        // produces the same fingerprint as the new spelling.
-        let via_shim = b.with_heuristic(Heuristic::ChaitinPessimistic);
-        assert_eq!(via_shim.strategy, Strategy::Chaitin);
-        assert_eq!(via_shim.fingerprint(), c.fingerprint());
     }
 
     #[test]

@@ -202,14 +202,8 @@ impl WorkerPool {
                 let queue = Arc::clone(&queue);
                 let pending = Arc::clone(&pending);
                 std::thread::spawn(move || {
-                    while let Some(mut job) = queue.pop() {
+                    while let Some(job) = queue.pop() {
                         pending.fetch_sub(1, Ordering::Relaxed);
-                        // The pool's thread count, not the job's `threads`
-                        // field, is the real worker parallelism on this
-                        // path — overwrite it so the intra-function
-                        // thread-budget clamp (`effective_graph_threads`)
-                        // sees the truth. Pure scheduling; never results.
-                        job.config.threads = threads;
                         // EDF's cheap half: a job whose deadline passed while
                         // it queued is dropped at dequeue instead of occupying
                         // the worker for a build phase it cannot finish.
@@ -366,20 +360,6 @@ impl Pipeline {
         &self.config
     }
 
-    /// The intra-function thread count this pipeline's allocations will
-    /// actually use, after the global thread budget is divided across the
-    /// real module-worker count (the pool's size on the pool path, the
-    /// config's `threads` otherwise). This is the observable the
-    /// thread-budget regression tests assert on: `--threads 8
-    /// --graph-threads 8` under a budget of 8 reports 1 here, not 8.
-    pub fn graph_parallelism(&self) -> usize {
-        let workers = match &self.pool {
-            Some(pool) => pool.threads(),
-            None => self.config.threads.get(),
-        };
-        self.config.effective_graph_threads_for(workers)
-    }
-
     /// Allocate every function in `funcs`, returning one result per input
     /// in the same order.
     pub fn allocate_functions(&self, funcs: &[Function]) -> Vec<Result<Allocation, AllocError>> {
@@ -429,10 +409,7 @@ impl Pipeline {
             .zip(module.functions())
             .map(|(r, f)| (f.name().to_string(), r))
             .collect();
-        ModuleAllocation {
-            results,
-            graph_threads_used: self.graph_parallelism(),
-        }
+        ModuleAllocation { results }
     }
 
     /// Allocate one function with panic containment (see
@@ -448,10 +425,6 @@ impl Pipeline {
 pub struct ModuleAllocation {
     /// `(function name, allocation result)` pairs in module order.
     pub results: Vec<(String, Result<Allocation, AllocError>)>,
-    /// The intra-function thread count the allocations ran with, after the
-    /// thread-budget clamp (see [`Pipeline::graph_parallelism`]). Purely
-    /// observability: the results are identical for every value.
-    pub graph_threads_used: usize,
 }
 
 impl ModuleAllocation {
@@ -762,52 +735,6 @@ mod tests {
         let timed = allocate_with_deadline(&f, &cfg, &Deadline::none()).unwrap();
         let plain = allocate(&f, &cfg).unwrap();
         assert_eq!(fingerprint(&timed), fingerprint(&plain));
-    }
-
-    #[test]
-    fn thread_budget_guard_clamps_pipeline_parallelism() {
-        let nz = |n: usize| NonZeroUsize::new(n).unwrap();
-        // The regression: `--threads 8 --graph-threads 8` on an 8-thread
-        // budget used to be 64 runnable threads. The pipeline metric must
-        // report the clamped value, 1 — and with a budget of 32, exactly 4.
-        let cfg = config(8)
-            .with_graph_threads(nz(8))
-            .with_thread_budget(nz(8));
-        let m = test_module(3);
-        let p = Pipeline::new(cfg.clone());
-        assert_eq!(p.graph_parallelism(), 1);
-        let out = p.allocate_module(&m);
-        assert!(out.is_ok());
-        assert_eq!(out.graph_threads_used, 1);
-
-        let roomy = Pipeline::new(cfg.clone().with_thread_budget(nz(32)));
-        assert_eq!(roomy.allocate_module(&m).graph_threads_used, 4);
-
-        // On the pool path the clamp divides by the POOL's size, not the
-        // config's `threads` field: a 16-worker pool under the same budget
-        // still reports 1, even if the config claims a single thread.
-        let pool = Arc::new(WorkerPool::new(nz(16)));
-        let via_pool = Pipeline::with_pool(
-            cfg.clone().with_threads(nz(1)).with_thread_budget(nz(16)),
-            pool,
-        );
-        assert_eq!(via_pool.graph_parallelism(), 1);
-        let out = via_pool.allocate_module(&m);
-        assert!(out.is_ok());
-        assert_eq!(out.graph_threads_used, 1);
-
-        // And the clamp never changes results, only scheduling.
-        let seq = Pipeline::new(config(1)).allocate_module(&m);
-        for ((_, a), (_, b)) in seq
-            .results
-            .iter()
-            .zip(&via_pool.allocate_module(&m).results)
-        {
-            assert_eq!(
-                fingerprint(a.as_ref().unwrap()),
-                fingerprint(b.as_ref().unwrap())
-            );
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! {"req":"alloc","ir":"fn F(v0:int) {...}","config":{"strategy":"briggs",
 //!  "target":"rt-pc","int_regs":16,"float_regs":8,"coalesce":"aggressive",
 //!  "spill_metric":"cost/degree","rematerialize":false,"max_passes":64,
-//!  "threads":4,"graph_threads":1,"thread_budget":8,"incremental":false}}
+//!  "threads":4,"incremental":false}}
 //! {"req":"batch","config":{...},"items":[
 //!  {"id":"mod-a","ir":"func A() ..."},
 //!  {"id":7,"key":"00baadf00dcafe42"}]}
@@ -239,10 +239,8 @@ fn parse_deadline_ms(v: &Json) -> Result<Option<u64>, ProtocolError> {
 /// Unknown fields are rejected so typos fail loudly instead of silently
 /// running the default configuration.
 ///
-/// The canonical selector is `"strategy"` (`"chaitin"`, `"briggs"`,
-/// `"irc"`, `"ssa"`); `"heuristic"` is accepted as an alias for clients
-/// predating the unified [`Strategy`] API, with identical values.
-/// Combinations that cannot mean anything — `"irc"` or `"ssa"` together
+/// The selector is `"strategy"` (`"chaitin"`, `"briggs"`, `"irc"`,
+/// `"ssa"`). Combinations that cannot mean anything — `"irc"` or `"ssa"` together
 /// with an explicit `"coalesce"` mode — are rejected rather than silently
 /// ignored.
 pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolError> {
@@ -263,36 +261,22 @@ pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolErro
     let mut rematerialize = None;
     let mut max_passes = None;
     let mut threads = None;
-    let mut graph_threads = None;
-    let mut thread_budget = None;
     let mut incremental = None;
-
-    let parse_strategy = |key: &str, value: &Json| -> Result<Strategy, ProtocolError> {
-        match value.as_str() {
-            Some("briggs") | Some("optimistic") => Ok(Strategy::Briggs),
-            Some("chaitin") | Some("pessimistic") => Ok(Strategy::Chaitin),
-            Some("irc") => Ok(Strategy::Irc),
-            Some("ssa") => Ok(Strategy::Ssa),
-            _ => Err(bad(format!(
-                "{key} must be \"chaitin\", \"briggs\", \"irc\" or \"ssa\""
-            ))),
-        }
-    };
 
     for (key, value) in spec {
         match key.as_str() {
-            // "strategy" is the canonical spelling; "heuristic" is the
-            // pre-Strategy alias. Both accept the same values.
-            "strategy" | "heuristic" => {
-                let parsed = parse_strategy(key, value)?;
-                if let Some(prev) = strategy {
-                    if prev != parsed {
+            "strategy" => {
+                strategy = Some(match value.as_str() {
+                    Some("chaitin") => Strategy::Chaitin,
+                    Some("briggs") => Strategy::Briggs,
+                    Some("irc") => Strategy::Irc,
+                    Some("ssa") => Strategy::Ssa,
+                    _ => {
                         return Err(bad(
-                            "\"strategy\" and \"heuristic\" disagree; send one selector",
-                        ));
+                            "strategy must be \"chaitin\", \"briggs\", \"irc\" or \"ssa\"",
+                        ))
                     }
-                }
-                strategy = Some(parsed);
+                })
             }
             "target" => {
                 target_name = Some(
@@ -365,24 +349,6 @@ pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolErro
                         .ok_or_else(|| bad("threads must be a positive integer"))?,
                 )
             }
-            "graph_threads" => {
-                graph_threads = Some(
-                    value
-                        .as_u64()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .and_then(NonZeroUsize::new)
-                        .ok_or_else(|| bad("graph_threads must be a positive integer"))?,
-                )
-            }
-            "thread_budget" => {
-                thread_budget = Some(
-                    value
-                        .as_u64()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .and_then(NonZeroUsize::new)
-                        .ok_or_else(|| bad("thread_budget must be a positive integer"))?,
-                )
-            }
             "incremental" => {
                 incremental = Some(
                     value
@@ -432,12 +398,6 @@ pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolErro
     }
     if let Some(n) = threads {
         config = config.with_threads(n);
-    }
-    if let Some(n) = graph_threads {
-        config = config.with_graph_threads(n);
-    }
-    if let Some(n) = thread_budget {
-        config = config.with_thread_budget(n);
     }
     if let Some(on) = incremental {
         config = config.with_incremental(on);
@@ -582,10 +542,9 @@ mod tests {
     #[test]
     fn config_fields_map_onto_allocator_knobs() {
         let line = r#"{"req":"alloc","ir":"","config":{
-            "heuristic":"chaitin","target":"tiny","int_regs":4,"float_regs":2,
+            "strategy":"chaitin","target":"tiny","int_regs":4,"float_regs":2,
             "coalesce":"off","spill_metric":"cost","rematerialize":true,
-            "max_passes":7,"threads":2,"graph_threads":4,"thread_budget":12,
-            "incremental":true}}"#
+            "max_passes":7,"threads":2,"incremental":true}}"#
             .replace('\n', " ");
         let Request::Alloc { config, .. } = Request::parse(&line).unwrap() else {
             panic!("wrong kind")
@@ -599,19 +558,7 @@ mod tests {
         assert!(config.rematerialize);
         assert_eq!(config.max_passes, 7);
         assert_eq!(config.threads.get(), 2);
-        assert_eq!(config.graph_threads.get(), 4);
-        assert_eq!(config.thread_budget.get(), 12);
         assert!(config.incremental);
-    }
-
-    #[test]
-    fn graph_thread_fields_must_be_positive_integers() {
-        for field in ["graph_threads", "thread_budget"] {
-            for bad in ["0", "-1", "\"two\""] {
-                let line = format!(r#"{{"req":"alloc","ir":"","config":{{"{field}":{bad}}}}}"#);
-                assert!(Request::parse(&line).is_err(), "{field}:{bad} accepted");
-            }
-        }
     }
 
     #[test]
@@ -622,15 +569,11 @@ mod tests {
             ("irc", Strategy::Irc),
             ("ssa", Strategy::Ssa),
         ] {
-            // Canonical key and legacy alias both work, for every strategy.
-            for key in ["strategy", "heuristic"] {
-                let line =
-                    format!(r#"{{"req":"alloc","ir":"","config":{{"{key}":"{spelling}"}}}}"#);
-                let Request::Alloc { config, .. } = Request::parse(&line).unwrap() else {
-                    panic!("wrong kind")
-                };
-                assert_eq!(config.strategy, want, "{key}={spelling}");
-            }
+            let line = format!(r#"{{"req":"alloc","ir":"","config":{{"strategy":"{spelling}"}}}}"#);
+            let Request::Alloc { config, .. } = Request::parse(&line).unwrap() else {
+                panic!("wrong kind")
+            };
+            assert_eq!(config.strategy, want, "strategy={spelling}");
         }
         assert!(
             Request::parse(r#"{"req":"alloc","ir":"","config":{"strategy":"graphviz"}}"#).is_err()
@@ -638,16 +581,28 @@ mod tests {
     }
 
     #[test]
-    fn agreeing_selectors_pass_disagreeing_are_rejected() {
-        let line = r#"{"req":"alloc","ir":"","config":{"strategy":"irc","heuristic":"irc"}}"#;
-        let Request::Alloc { config, .. } = Request::parse(line).unwrap() else {
-            panic!("wrong kind")
-        };
-        assert_eq!(config.strategy, Strategy::Irc);
-
-        let line = r#"{"req":"alloc","ir":"","config":{"strategy":"irc","heuristic":"briggs"}}"#;
-        let err = Request::parse(line).unwrap_err();
-        assert!(err.0.contains("disagree"), "got: {}", err.0);
+    fn removed_config_names_are_rejected_by_name() {
+        // Intra-function threading knobs and the pre-`Strategy` selector
+        // are gone: each is an unknown field, named in the error.
+        for (field, value) in [
+            ("graph_threads", "4"),
+            ("thread_budget", "8"),
+            ("heuristic", "\"briggs\""),
+        ] {
+            let line = format!(r#"{{"req":"alloc","ir":"","config":{{"{field}":{value}}}}}"#);
+            let err = Request::parse(&line).unwrap_err();
+            assert!(
+                err.0.contains(field),
+                "error must name {field}, got: {}",
+                err.0
+            );
+        }
+        // The old value aliases are not strategies.
+        for alias in ["optimistic", "pessimistic", "old", "new"] {
+            let line = format!(r#"{{"req":"alloc","ir":"","config":{{"strategy":"{alias}"}}}}"#);
+            let err = Request::parse(&line).unwrap_err();
+            assert!(err.0.contains("strategy"), "{alias}: got {}", err.0);
+        }
     }
 
     #[test]

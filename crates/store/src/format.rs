@@ -35,7 +35,11 @@ pub const MAGIC: [u8; 8] = *b"OPTSTOR1";
 /// Version of the *record body* layout plus the payload encoding the
 /// owning layer writes. Bump on any incompatible change; recovery drops
 /// records carrying any other version.
-pub const SCHEMA_VERSION: u32 = 1;
+///
+/// Also bumped when the allocator's *results* change under unchanged
+/// cache keys: version 2 retires allocations made before dead parameters
+/// joined the entry clique, some of which clobbered a live parameter.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Bytes of framing before the body: `u32` body length + `u64` checksum.
 pub const RECORD_HEADER_LEN: usize = 4 + 8;

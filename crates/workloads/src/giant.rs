@@ -3,10 +3,9 @@
 //! (every accumulator is initialized up front and folded into the final
 //! checksum, so all of them stay live across the whole body).
 //!
-//! This is the shared workload behind the `par_equivalence` differential
-//! proptests and the `serve_replay --giant` lane: intra-function
-//! parallelism only matters on functions like these, where one routine
-//! would otherwise serialize a module worker. Like
+//! These stress the allocator's per-function cost far beyond the corpus:
+//! the fuzz suite checks their allocated runs against the simulator, and
+//! they are the input for measuring the build phase at scale. Like
 //! [`generate_routine`](crate::generate_routine), the output is closed
 //! (no calls), terminates (counted `DO` loops with literal bounds, no
 //! `GOTO`), and is a pure function of `(name, seed, config)`.
@@ -193,7 +192,7 @@ mod tests {
     fn default_config_is_actually_giant() {
         // Hundreds of blocks worth of structure: each segment opens at
         // least two DO loops and one IF. Count the source constructs here;
-        // the par_equivalence suite checks the compiled CFG's block count.
+        // the giant fuzz case checks the compiled CFG's block count.
         let src = giant_kernel("G", 0, &GiantConfig::default());
         let dos = src.matches("DO ").count();
         let ifs = src.matches("IF (").count();

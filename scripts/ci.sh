@@ -41,11 +41,6 @@ if [[ $quick -eq 0 ]]; then
     # allocation of the SSA track, also at the full case count.
     echo "==> SSA invariants under --release (full proptest case count)"
     cargo test --release -q --test ssa_invariants
-
-    # Sequential-vs-parallel differential layer: graph build and full
-    # allocation must be bit-identical at every graph_threads setting.
-    echo "==> parallel-coloring equivalence under --release (full proptest case count)"
-    cargo test --release -q --test par_equivalence
 fi
 
 echo "==> benches compile"
@@ -364,12 +359,6 @@ for pid in "$rep_stored1_pid" "$rep_stored2_pid"; do
 done
 rep_pids=""
 
-echo "==> deprecation shims (pre-Strategy constructors compile and match)"
-# The old AllocatorConfig::chaitin/briggs spellings must keep compiling
-# (deprecated, not removed) and must stay fingerprint-identical to the
-# Strategy constructors — existing stores depend on the addresses.
-cargo test -q -p optimist-regalloc deprecated_shims_match_strategy_constructors
-
 if [[ $quick -eq 0 ]]; then
     echo "==> strategy shootout (chaitin vs briggs vs irc vs ssa over the corpus)"
     # Runs all four strategies through a live daemon + the cycle simulator
@@ -386,12 +375,6 @@ if [[ $quick -eq 0 ]]; then
     # (replica reads keep the warm bar), an empty-disk revival resynced
     # ≥ 90% by anti-entropy, and a p99 tail bar.
     ./target/release/serve_replay --fleet
-
-    echo "==> giant-kernel lane (sequential vs graph_threads=8, byte-identity)"
-    # Deadline 0 disables the wall-clock bar: CI may be single-core, where
-    # speculative coloring buys nothing. Byte-identity and the engaged-par
-    # counters are still enforced.
-    ./target/release/serve_replay --giant --giant-deadline-ms 0
 fi
 
 echo "CI gate passed."

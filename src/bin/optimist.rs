@@ -20,8 +20,7 @@
 //!   -O                 run the scalar optimizer (default for allocate/
 //!                      run/compare; use --no-opt to disable)
 //!   --no-opt           skip the optimizer
-//!   --strategy S       chaitin | briggs | irc | ssa (default briggs);
-//!                      --heuristic is accepted as an alias
+//!   --strategy S       chaitin | briggs | irc | ssa (default briggs)
 //!   --int-regs N       integer registers (default 16)
 //!   --float-regs N     float registers (default 8)
 //!   --virtual          (run) use virtual registers instead of allocating
@@ -31,13 +30,6 @@
 //!                      ssa elides no-op phi copies instead)
 //!   --threads N        worker threads for module allocation (default: the
 //!                      machine's available parallelism; 1 = sequential)
-//!   --graph-threads N  intra-function threads for graph build and
-//!                      speculative coloring (default 1; results are
-//!                      bit-identical at any setting)
-//!   --thread-budget N  total thread cap: graph threads are clamped to
-//!                      budget / workers so --threads and --graph-threads
-//!                      cannot multiply into oversubscription (default:
-//!                      the machine's available parallelism)
 //!   --incremental      repair the interference graph after spilling
 //!                      instead of rebuilding it each pass
 //!   --listen ADDR      (serve) accept TCP connections on ADDR; without it
@@ -91,8 +83,6 @@ struct Options {
     rematerialize: bool,
     coalesce: Option<optimist::regalloc::CoalesceMode>,
     threads: Option<std::num::NonZeroUsize>,
-    graph_threads: Option<std::num::NonZeroUsize>,
-    thread_budget: Option<std::num::NonZeroUsize>,
     incremental: bool,
     routine: Option<String>,
     listen: Option<String>,
@@ -119,8 +109,6 @@ fn parse_options(args: &[String], default_opt: bool) -> Result<Options, String> 
         rematerialize: false,
         coalesce: None,
         threads: None,
-        graph_threads: None,
-        thread_budget: None,
         incremental: false,
         routine: None,
         listen: None,
@@ -151,18 +139,6 @@ fn parse_options(args: &[String], default_opt: bool) -> Result<Options, String> 
                         format!("bad --threads `{v}` (expected a positive integer)")
                     })?);
             }
-            "--graph-threads" => {
-                let v = it.next().ok_or("--graph-threads needs a value")?;
-                o.graph_threads = Some(v.parse().map_err(|_| {
-                    format!("bad --graph-threads `{v}` (expected a positive integer)")
-                })?);
-            }
-            "--thread-budget" => {
-                let v = it.next().ok_or("--thread-budget needs a value")?;
-                o.thread_budget = Some(v.parse().map_err(|_| {
-                    format!("bad --thread-budget `{v}` (expected a positive integer)")
-                })?);
-            }
             "--coalesce" => {
                 let v = it.next().ok_or("--coalesce needs a value")?;
                 o.coalesce = Some(match v.as_str() {
@@ -172,13 +148,11 @@ fn parse_options(args: &[String], default_opt: bool) -> Result<Options, String> 
                     other => return Err(format!("unknown coalesce mode `{other}`")),
                 });
             }
-            // "--strategy" is the canonical flag; "--heuristic" survives
-            // as an alias from before IRC made it a three-way choice.
-            "--strategy" | "--heuristic" => {
+            "--strategy" => {
                 let v = it.next().ok_or("--strategy needs a value")?;
                 o.strategy = match v.as_str() {
-                    "chaitin" | "old" | "pessimistic" => Strategy::Chaitin,
-                    "briggs" | "new" | "optimistic" => Strategy::Briggs,
+                    "chaitin" => Strategy::Chaitin,
+                    "briggs" => Strategy::Briggs,
                     "irc" => Strategy::Irc,
                     "ssa" => Strategy::Ssa,
                     other => return Err(format!("unknown strategy `{other}`")),
@@ -274,16 +248,10 @@ impl Options {
         if let Some(mode) = self.coalesce {
             cfg = cfg.with_coalesce(mode);
         }
-        if let Some(n) = self.threads {
-            cfg = cfg.with_threads(n);
+        match self.threads {
+            Some(n) => cfg.with_threads(n),
+            None => cfg,
         }
-        if let Some(n) = self.graph_threads {
-            cfg = cfg.with_graph_threads(n);
-        }
-        if let Some(n) = self.thread_budget {
-            cfg = cfg.with_thread_budget(n);
-        }
-        cfg
     }
 
     fn load(&self) -> Result<optimist::ir::Module, String> {
@@ -588,12 +556,6 @@ fn remote_config(o: &Options) -> optimist::serve::Json {
     config.push("incremental", Json::from(o.incremental));
     if let Some(n) = o.threads {
         config.push("threads", Json::from(n.get() as u64));
-    }
-    if let Some(n) = o.graph_threads {
-        config.push("graph_threads", Json::from(n.get() as u64));
-    }
-    if let Some(n) = o.thread_budget {
-        config.push("thread_budget", Json::from(n.get() as u64));
     }
     config
 }

@@ -122,7 +122,7 @@ fn heuristic_and_register_options_are_accepted() {
     let out = optimist(&[
         "allocate",
         path.to_str().unwrap(),
-        "--heuristic",
+        "--strategy",
         "chaitin",
         "--float-regs",
         "4",
@@ -143,4 +143,21 @@ fn bad_option_is_reported() {
     let out = optimist(&["allocate", "whatever.ft", "--bogus"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"));
+}
+
+#[test]
+fn removed_options_are_unknown() {
+    // The pre-`--strategy` selector and the intra-function thread knobs
+    // are gone, not silently ignored.
+    for (flag, value) in [
+        ("--heuristic", "chaitin"),
+        ("--graph-threads", "4"),
+        ("--thread-budget", "8"),
+    ] {
+        let out = optimist(&["allocate", "whatever.ft", flag, value]);
+        assert!(!out.status.success(), "{flag} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown option"), "{flag}: {err}");
+        assert!(err.contains(flag), "{flag}: {err}");
+    }
 }
